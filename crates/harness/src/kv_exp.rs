@@ -8,6 +8,7 @@
 //! (READs also executed by dispatch cores).
 
 use std::cell::RefCell;
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -83,8 +84,14 @@ impl KvExpConfig {
 
 /// Preloads every key so GETs always hit (the YCSB load phase).
 pub fn preload_prism(server: &PrismKvServer, n_keys: u64, value_len: usize) {
+    preload_prism_keys(server, 0..n_keys, value_len);
+}
+
+/// Preloads the keys in `keys` only: one slice of the load phase, so a
+/// caller can load the key space in parts.
+pub fn preload_prism_keys(server: &PrismKvServer, keys: Range<u64>, value_len: usize) {
     let client = server.open_client();
-    for k in 0..n_keys {
+    for k in keys {
         let key = key_bytes(k);
         let value = value_bytes(k, 0, value_len);
         let (mut op, req) = client.put(&key, &value);

@@ -10,6 +10,7 @@
 //! bit-identically.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use prism_simnet::rng::SimRng;
@@ -27,6 +28,8 @@ struct DiskFile {
 #[derive(Default)]
 pub struct SimDisk {
     files: Mutex<BTreeMap<String, DiskFile>>,
+    /// Bytes ever passed to `append` and `write_sync`.
+    written: AtomicU64,
 }
 
 impl SimDisk {
@@ -37,12 +40,19 @@ impl SimDisk {
     /// Appends `data` to `name`, creating the file if needed. The new
     /// bytes are *not* durable until [`sync`](SimDisk::sync).
     pub fn append(&self, name: &str, data: &[u8]) {
+        self.written.fetch_add(data.len() as u64, Ordering::Relaxed);
         let mut files = self.files.lock().unwrap();
-        files
-            .entry(name.to_string())
-            .or_default()
-            .bytes
-            .extend_from_slice(data);
+        // Look up first: the hot path appends to an existing file and
+        // should not allocate a key for it.
+        if let Some(f) = files.get_mut(name) {
+            f.bytes.extend_from_slice(data);
+        } else {
+            files
+                .entry(name.to_string())
+                .or_default()
+                .bytes
+                .extend_from_slice(data);
+        }
     }
 
     /// Makes every byte of `name` crash-durable.
@@ -56,10 +66,19 @@ impl SimDisk {
     /// Atomically replaces `name` with `data`, already durable — the
     /// write-temp-then-rename idiom collapsed to one step.
     pub fn write_sync(&self, name: &str, data: &[u8]) {
+        self.written.fetch_add(data.len() as u64, Ordering::Relaxed);
         let mut files = self.files.lock().unwrap();
         let f = files.entry(name.to_string()).or_default();
         f.bytes = data.to_vec();
         f.synced = f.bytes.len();
+    }
+
+    /// Total bytes ever handed to [`append`](SimDisk::append) and
+    /// [`write_sync`](SimDisk::write_sync): a monotone write-volume
+    /// count. Pure observer — it draws no RNG and never changes the
+    /// disk.
+    pub fn bytes_written(&self) -> u64 {
+        self.written.load(Ordering::Relaxed)
     }
 
     pub fn read(&self, name: &str) -> Option<Vec<u8>> {
@@ -188,6 +207,19 @@ mod tests {
         assert_eq!(disk.rot(&mut rng, 3), 3);
         let ones: u32 = disk.read("f").unwrap().iter().map(|b| b.count_ones()).sum();
         assert!((1..=3).contains(&ones)); // flips may collide
+    }
+
+    #[test]
+    fn bytes_written_counts_appends_and_rewrites() {
+        let disk = SimDisk::new();
+        disk.append("f", &[0u8; 10]);
+        disk.append("f", &[0u8; 5]);
+        disk.write_sync("g", &[0u8; 7]);
+        disk.write_sync("g", &[0u8; 3]);
+        disk.sync("f");
+        disk.truncate("f", 2);
+        disk.remove("g");
+        assert_eq!(disk.bytes_written(), 25, "only appends and rewrites count");
     }
 
     #[test]

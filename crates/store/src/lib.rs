@@ -13,7 +13,8 @@
 //! * [`segment`] — the CRC32-framed on-disk format: a magic + version +
 //!   flags header (itself CRC-guarded), length-prefixed records
 //!   carrying `(epoch, incarnation, key, payload, record CRC)`, and a
-//!   manifest listing sealed segments. Every decode failure is a typed
+//!   manifest listing sealed segments (a compact base plus one appended
+//!   edit frame per segment roll). Every decode failure is a typed
 //!   [`StoreError`]; no input panics or silently passes.
 //! * [`SegmentStore`] — append / barrier / replay over a set of
 //!   segment files. Replay stops at the first torn or corrupt frame of

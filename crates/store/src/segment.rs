@@ -19,13 +19,37 @@
 //! | record frames …  |    +-------------------------------------+
 //! ```
 //!
-//! The manifest (`PRSMMAN1`) shares the header, then holds a count and
-//! `(seq, len, records)` per sealed segment, a checkpoint sequence
-//! number (segments below it are fully covered by a checkpoint fold
-//! and replay skips decoding them), all closed by a CRC over the entry
-//! table. Manifests written before the checkpoint field existed are
-//! exactly four bytes shorter; decode accepts both lengths, reading
-//! the legacy form as checkpoint 0 (nothing covered).
+//! The manifest (`PRSMMAN1`) is a compact *base* followed by an
+//! append-only log of *edit* frames. The base shares the header, then
+//! holds a count and `(seq, len, records)` per sealed segment and a
+//! checkpoint sequence number (segments below it are fully covered by
+//! a checkpoint fold and replay skips decoding them), all closed by a
+//! CRC over the entry table. Each segment roll appends one fixed-size
+//! edit frame naming the segment it sealed, with its own CRC, so a roll
+//! costs O(1) instead of a rewrite of the whole table. The edit log is
+//! folded back into a fresh base only where the store already rewrites
+//! the manifest (open, replay, checkpoint, wipe).
+//!
+//! ```text
+//! manifest file                       edit frame (one per roll)
+//! +--------------------------------+  +-------------------------------+
+//! | header   20 B (PRSMMAN1)       |  | seq      u32 LE               |
+//! +--------------------------------+  | len      u64 LE               |
+//! | count    u32 LE                |  | records  u32 LE               |
+//! | count x (seq u32, len u64,     |  | crc      u32 LE  over above   |
+//! |          records u32)          |  +-------------------------------+
+//! | checkpoint u32 LE              |
+//! | crc      u32 LE  over table    |
+//! +--------------------------------+
+//! | edit frames ...  20 B each     |
+//! +--------------------------------+
+//! ```
+//!
+//! Manifests written before the checkpoint field existed are exactly
+//! four bytes shorter than a bare base and carry no edits; decode
+//! accepts them too, reading the legacy form as checkpoint 0 (nothing
+//! covered). Any other length is a typed truncation error, and a CRC
+//! failure in the base or in any edit is a typed corruption error.
 
 use prism_core::crc::crc32;
 
@@ -39,6 +63,10 @@ pub const VERSION: u16 = 1;
 pub const HEADER_LEN: usize = 20;
 /// Record frame overhead: len + epoch + inc + key prefix plus the CRC.
 pub const FRAME_OVERHEAD: usize = 4 + 8 + 8 + 8 + 4;
+/// Manifest edit frame length: `(seq, len, records)` plus its CRC.
+pub const EDIT_LEN: usize = 4 + 8 + 4 + 4;
+/// Length of one `(seq, len, records)` manifest entry.
+const ENTRY_LEN: usize = 4 + 8 + 4;
 /// Ceiling on a record payload; a corrupted length field past this is
 /// rejected as [`StoreError::RecordOverrun`] instead of driving a huge
 /// allocation.
@@ -65,9 +93,10 @@ pub enum StoreError {
     RecordOverrun { len: u32 },
     /// Record CRC mismatch (bit rot or a tear inside the frame).
     RecordCorrupt { seen: u32, want: u32 },
-    /// The manifest ends before its declared entry table.
+    /// The manifest's length fits no layout: it ends before its
+    /// declared entry table or part-way through an edit frame.
     ManifestTruncated,
-    /// Manifest entry-table CRC mismatch.
+    /// CRC mismatch in the manifest base or in one of its edit frames.
     ManifestCorrupt { seen: u32, want: u32 },
 }
 
@@ -88,7 +117,7 @@ impl std::fmt::Display for StoreError {
             StoreError::RecordCorrupt { seen, want } => {
                 write!(f, "record crc {seen:#010x} != {want:#010x}")
             }
-            StoreError::ManifestTruncated => write!(f, "manifest shorter than its entry table"),
+            StoreError::ManifestTruncated => write!(f, "manifest length fits no layout"),
             StoreError::ManifestCorrupt { seen, want } => {
                 write!(f, "manifest crc {seen:#010x} != {want:#010x}")
             }
@@ -211,17 +240,41 @@ pub fn decode_record(bytes: &[u8]) -> Result<(Record, usize), StoreError> {
     ))
 }
 
-/// Encodes the full manifest file (header + entry table + checkpoint +
-/// table CRC, the CRC covering the checkpoint field too).
+fn entry_bytes(s: &SealedSeg) -> [u8; ENTRY_LEN] {
+    let mut e = [0u8; ENTRY_LEN];
+    e[0..4].copy_from_slice(&s.seq.to_le_bytes());
+    e[4..12].copy_from_slice(&s.len.to_le_bytes());
+    e[12..16].copy_from_slice(&s.records.to_le_bytes());
+    e
+}
+
+fn get_entry(e: &[u8]) -> SealedSeg {
+    SealedSeg {
+        seq: u32::from_le_bytes(e[0..4].try_into().unwrap()),
+        len: u64::from_le_bytes(e[4..12].try_into().unwrap()),
+        records: u32::from_le_bytes(e[12..16].try_into().unwrap()),
+    }
+}
+
+/// Checks the CRC word stored right after `body`.
+fn check_crc(body: &[u8], stored: &[u8]) -> Result<(), StoreError> {
+    let want = crc32(body);
+    let seen = u32::from_le_bytes(stored[..4].try_into().unwrap());
+    if seen != want {
+        return Err(StoreError::ManifestCorrupt { seen, want });
+    }
+    Ok(())
+}
+
+/// Encodes a compact manifest base (header + entry table + checkpoint
+/// + table CRC, the CRC covering the checkpoint field too).
 pub fn encode_manifest(sealed: &[SealedSeg], checkpoint: u32) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + 12 + sealed.len() * 16);
+    let mut out = Vec::with_capacity(HEADER_LEN + 12 + sealed.len() * ENTRY_LEN);
     out.extend_from_slice(&encode_header(MANIFEST_MAGIC));
     let table_start = out.len();
     out.extend_from_slice(&(sealed.len() as u32).to_le_bytes());
     for s in sealed {
-        out.extend_from_slice(&s.seq.to_le_bytes());
-        out.extend_from_slice(&s.len.to_le_bytes());
-        out.extend_from_slice(&s.records.to_le_bytes());
+        out.extend_from_slice(&entry_bytes(s));
     }
     out.extend_from_slice(&checkpoint.to_le_bytes());
     let crc = crc32(&out[table_start..]);
@@ -229,10 +282,22 @@ pub fn encode_manifest(sealed: &[SealedSeg], checkpoint: u32) -> Vec<u8> {
     out
 }
 
-/// Decodes a full manifest file. Accepts both the current layout
-/// (entry table + checkpoint + CRC) and the pre-checkpoint legacy
-/// layout (entry table + CRC, exactly four bytes shorter), which reads
-/// as checkpoint 0; any other length is a typed truncation error.
+/// Encodes one edit frame recording that `sealed` was sealed; appended
+/// after the base, it decodes as the next entry of the sealed table.
+pub fn encode_manifest_edit(sealed: &SealedSeg) -> [u8; EDIT_LEN] {
+    let mut out = [0u8; EDIT_LEN];
+    out[..ENTRY_LEN].copy_from_slice(&entry_bytes(sealed));
+    let crc = crc32(&out[..ENTRY_LEN]);
+    out[ENTRY_LEN..].copy_from_slice(&crc.to_le_bytes());
+    out
+}
+
+/// Decodes a manifest file. Accepts a compact base, a base followed by
+/// any number of edit frames, and the pre-checkpoint legacy layout
+/// (entry table + CRC, exactly four bytes shorter than a base, no
+/// edits), which reads as checkpoint 0. Any other length is
+/// [`StoreError::ManifestTruncated`]; a CRC failure in the base or in
+/// any edit is [`StoreError::ManifestCorrupt`].
 pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StoreError> {
     decode_header(bytes, MANIFEST_MAGIC)?;
     let rest = &bytes[HEADER_LEN..];
@@ -240,27 +305,32 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StoreError> {
         return Err(StoreError::ManifestTruncated);
     }
     let count = u32::from_le_bytes(rest[0..4].try_into().unwrap()) as usize;
-    let table = 4 + count * 16;
-    let body = if rest.len() == table + 8 {
-        table + 4 // current layout: checkpoint rides inside the CRC
-    } else if rest.len() == table + 4 {
-        table // legacy layout: no checkpoint field
+    // Bytes past the entry table; the count is checked against the real
+    // length before anything is sized by it.
+    let table = count
+        .checked_mul(ENTRY_LEN)
+        .and_then(|t| t.checked_add(4))
+        .ok_or(StoreError::ManifestTruncated)?;
+    let tail = rest
+        .len()
+        .checked_sub(table)
+        .ok_or(StoreError::ManifestTruncated)?;
+    let (body, edits) = if tail == 4 {
+        (table, 0) // legacy layout: no checkpoint field, no edits
+    } else if tail >= 8 && (tail - 8) % EDIT_LEN == 0 {
+        // Current layout: checkpoint rides inside the base CRC.
+        (table + 4, (tail - 8) / EDIT_LEN)
     } else {
         return Err(StoreError::ManifestTruncated);
     };
-    let want = crc32(&rest[..body]);
-    let seen = u32::from_le_bytes(rest[body..body + 4].try_into().unwrap());
-    if seen != want {
-        return Err(StoreError::ManifestCorrupt { seen, want });
+    check_crc(&rest[..body], &rest[body..])?;
+    let mut sealed = Vec::with_capacity(count + edits);
+    for e in rest[4..table].chunks_exact(ENTRY_LEN) {
+        sealed.push(get_entry(e));
     }
-    let mut sealed = Vec::with_capacity(count);
-    for i in 0..count {
-        let e = &rest[4 + i * 16..4 + (i + 1) * 16];
-        sealed.push(SealedSeg {
-            seq: u32::from_le_bytes(e[0..4].try_into().unwrap()),
-            len: u64::from_le_bytes(e[4..12].try_into().unwrap()),
-            records: u32::from_le_bytes(e[12..16].try_into().unwrap()),
-        });
+    for e in rest[body + 4..].chunks_exact(EDIT_LEN) {
+        check_crc(&e[..ENTRY_LEN], &e[ENTRY_LEN..])?;
+        sealed.push(get_entry(e));
     }
     let checkpoint = if body == table {
         0
@@ -314,6 +384,26 @@ mod tests {
         let m = decode_manifest(&bytes).unwrap();
         assert_eq!(m.sealed, sealed);
         assert_eq!(m.checkpoint, 2);
+    }
+
+    #[test]
+    fn manifest_base_plus_edits_roundtrips() {
+        let seg = |seq| SealedSeg {
+            seq,
+            len: 8192 + seq as u64,
+            records: 14,
+        };
+        let base = [seg(0), seg(1)];
+        let mut bytes = encode_manifest(&base, 1);
+        for seq in 2..5 {
+            bytes.extend_from_slice(&encode_manifest_edit(&seg(seq)));
+        }
+        assert_eq!(bytes.len(), encode_manifest(&base, 1).len() + 3 * EDIT_LEN);
+        let m = decode_manifest(&bytes).unwrap();
+        assert_eq!(m.sealed, (0..5).map(seg).collect::<Vec<_>>());
+        assert_eq!(m.checkpoint, 1, "edits never move the checkpoint");
+        // Folding the edits into a fresh base is lossless.
+        assert_eq!(decode_manifest(&encode_manifest(&m.sealed, 1)).unwrap(), m);
     }
 
     #[test]

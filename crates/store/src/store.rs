@@ -6,11 +6,12 @@ use std::sync::{Arc, Mutex};
 use crate::disk::SimDisk;
 use crate::segment::{
     decode_header, decode_manifest, decode_record, encode_header, encode_manifest,
-    encode_record_into, Manifest, Record, SealedSeg, HEADER_LEN, SEGMENT_MAGIC,
+    encode_manifest_edit, encode_record_into, Manifest, Record, SealedSeg, HEADER_LEN,
+    SEGMENT_MAGIC,
 };
 
 /// Default segment size ceiling; an append past it seals the active
-/// segment (sync + manifest update) and opens the next.
+/// segment (sync + one manifest edit) and opens the next.
 pub const DEFAULT_SEGMENT_LIMIT: usize = 8 * 1024;
 
 /// Shared recovery counters, folded into `RunResult` by the harness.
@@ -78,24 +79,33 @@ pub struct Replay {
     pub segments_skipped: u64,
 }
 
+#[derive(Default)]
 struct Inner {
     active_seq: u32,
+    /// File name of the active segment, kept so appends need not
+    /// format it.
+    active_name: String,
     active_len: usize,
     active_records: u32,
     sealed: Vec<SealedSeg>,
     /// Segments below this sequence are covered by a checkpoint fold
     /// (see [`SegmentStore::checkpoint`]); replay skips decoding them.
     checkpoint: u32,
+    /// Reused encode buffer for one record frame.
+    frame: Vec<u8>,
 }
 
 /// Append-only log of CRC-framed segments for one server, on a shared
 /// [`SimDisk`]. Appends go to the active segment; once it passes the
-/// size limit it is synced, recorded in the manifest, and a fresh
-/// segment is opened. `barrier()` is the fsync point: everything
+/// size limit it is synced, recorded by one edit frame appended to the
+/// manifest, and a fresh segment is opened — a roll costs O(1) however
+/// long the log is. `barrier()` is the fsync point: everything
 /// appended before it survives any crash tear.
 pub struct SegmentStore {
     disk: Arc<SimDisk>,
     prefix: String,
+    /// File name of the manifest.
+    manifest: String,
     limit: usize,
     inner: Mutex<Inner>,
 }
@@ -109,19 +119,11 @@ impl SegmentStore {
         let store = SegmentStore {
             disk,
             prefix: prefix.to_string(),
+            manifest: format!("{prefix}/manifest"),
             limit,
-            inner: Mutex::new(Inner {
-                active_seq: 0,
-                active_len: HEADER_LEN,
-                active_records: 0,
-                sealed: Vec::new(),
-                checkpoint: 0,
-            }),
+            inner: Mutex::new(Inner::default()),
         };
-        store.create_segment(0);
-        store
-            .disk
-            .write_sync(&store.manifest_name(), &encode_manifest(&[], 0));
+        store.reset(&mut store.inner.lock().unwrap());
         store
     }
 
@@ -133,10 +135,6 @@ impl SegmentStore {
         format!("{}/seg-{seq:06}.log", self.prefix)
     }
 
-    fn manifest_name(&self) -> String {
-        format!("{}/manifest", self.prefix)
-    }
-
     fn create_segment(&self, seq: u32) {
         // The header is written and synced up front, so a tear can only
         // cost record frames, never the file's identity.
@@ -144,40 +142,71 @@ impl SegmentStore {
             .write_sync(&self.segment_name(seq), &encode_header(SEGMENT_MAGIC));
     }
 
+    /// Creates segment `seq` and makes it the empty active segment.
+    fn open_active(&self, inner: &mut Inner, seq: u32) {
+        self.create_segment(seq);
+        inner.active_name = self.segment_name(seq);
+        inner.active_seq = seq;
+        inner.active_len = HEADER_LEN;
+        inner.active_records = 0;
+    }
+
+    /// Syncs the active segment and records it as sealed (in memory;
+    /// the caller makes the manifest say so).
+    fn seal_active(&self, inner: &mut Inner) -> SealedSeg {
+        self.disk.sync(&inner.active_name);
+        let sealed = SealedSeg {
+            seq: inner.active_seq,
+            len: inner.active_len as u64,
+            records: inner.active_records,
+        };
+        inner.sealed.push(sealed);
+        sealed
+    }
+
+    /// Rewrites the manifest as one compact base, folding away every
+    /// edit frame appended since the last rewrite.
+    fn compact_manifest(&self, inner: &Inner) {
+        self.disk.write_sync(
+            &self.manifest,
+            &encode_manifest(&inner.sealed, inner.checkpoint),
+        );
+    }
+
+    /// Empties the bookkeeping and opens segment 0 under a fresh base.
+    fn reset(&self, inner: &mut Inner) {
+        inner.sealed.clear();
+        inner.checkpoint = 0;
+        self.open_active(inner, 0);
+        self.compact_manifest(inner);
+    }
+
     /// Appends one record to the active segment (not yet durable; see
     /// [`barrier`](SegmentStore::barrier)). Seals the segment and opens
-    /// the next when the size limit is passed.
+    /// the next when the size limit is passed; the seal appends one
+    /// fixed-size edit frame to the manifest and syncs it, so its cost
+    /// does not grow with the number of sealed segments.
     pub fn append(&self, rec: &Record) {
-        let mut inner = self.inner.lock().unwrap();
-        let mut frame = Vec::with_capacity(crate::segment::FRAME_OVERHEAD + rec.payload.len());
-        encode_record_into(rec, &mut frame);
-        let name = self.segment_name(inner.active_seq);
-        self.disk.append(&name, &frame);
-        inner.active_len += frame.len();
+        let mut guard = self.inner.lock().unwrap();
+        let inner = &mut *guard;
+        inner.frame.clear();
+        encode_record_into(rec, &mut inner.frame);
+        self.disk.append(&inner.active_name, &inner.frame);
+        inner.active_len += inner.frame.len();
         inner.active_records += 1;
         if inner.active_len >= self.limit {
-            self.disk.sync(&name);
-            let sealed = SealedSeg {
-                seq: inner.active_seq,
-                len: inner.active_len as u64,
-                records: inner.active_records,
-            };
-            inner.sealed.push(sealed);
-            self.disk.write_sync(
-                &self.manifest_name(),
-                &encode_manifest(&inner.sealed, inner.checkpoint),
-            );
-            inner.active_seq += 1;
-            inner.active_len = HEADER_LEN;
-            inner.active_records = 0;
-            self.create_segment(inner.active_seq);
+            let sealed = self.seal_active(inner);
+            self.disk
+                .append(&self.manifest, &encode_manifest_edit(&sealed));
+            self.disk.sync(&self.manifest);
+            self.open_active(inner, sealed.seq + 1);
         }
     }
 
     /// Fsync barrier: every record appended so far survives crash tears.
     pub fn barrier(&self) {
         let inner = self.inner.lock().unwrap();
-        self.disk.sync(&self.segment_name(inner.active_seq));
+        self.disk.sync(&inner.active_name);
     }
 
     /// Replays the log from disk after an amnesia restart.
@@ -195,7 +224,7 @@ impl SegmentStore {
         let mut inner = self.inner.lock().unwrap();
         let manifest: Option<Manifest> = self
             .disk
-            .read(&self.manifest_name())
+            .read(&self.manifest)
             .and_then(|b| decode_manifest(&b).ok());
         let mut out = Replay {
             manifest_ok: manifest.is_some(),
@@ -216,10 +245,12 @@ impl SegmentStore {
                 .and_then(|s| s.parse::<u32>().ok())
                 .unwrap_or(i as u32);
             if seq < manifest.checkpoint {
-                if let Some(e) = manifest.sealed.iter().find(|e| e.seq == seq) {
+                // `sealed` is in seq order, so a covered segment's
+                // entry is a binary search away.
+                if let Ok(at) = manifest.sealed.binary_search_by_key(&seq, |e| e.seq) {
                     // Covered by the checkpoint fold: skip decoding.
                     out.segments_skipped += 1;
-                    survivors.push(*e);
+                    survivors.push(manifest.sealed[at]);
                     continue;
                 }
                 // A covered segment the manifest does not list (it
@@ -281,16 +312,14 @@ impl SegmentStore {
         for s in &survivors {
             self.disk.sync(&self.segment_name(s.seq));
         }
-        self.disk.sync(&self.segment_name(active.seq));
-        self.disk.write_sync(
-            &self.manifest_name(),
-            &encode_manifest(&survivors, manifest.checkpoint),
-        );
+        inner.active_name = self.segment_name(active.seq);
+        self.disk.sync(&inner.active_name);
         inner.active_seq = active.seq;
         inner.active_len = active.len as usize;
         inner.active_records = active.records;
         inner.sealed = survivors;
         inner.checkpoint = manifest.checkpoint;
+        self.compact_manifest(&inner);
         out
     }
 
@@ -307,32 +336,22 @@ impl SegmentStore {
     /// inside the fold is caught by the frame CRCs and healed from
     /// replicas like any other damaged segment.
     pub fn checkpoint(&self, fold: &[Record]) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut guard = self.inner.lock().unwrap();
+        let inner = &mut *guard;
         // Seal the active segment as-is.
-        let name = self.segment_name(inner.active_seq);
-        self.disk.sync(&name);
-        let sealed = SealedSeg {
-            seq: inner.active_seq,
-            len: inner.active_len as u64,
-            records: inner.active_records,
-        };
-        inner.sealed.push(sealed);
+        let sealed = self.seal_active(inner);
         // Write the fold into the next segment and make it durable.
-        let seq = inner.active_seq + 1;
-        self.create_segment(seq);
-        let name = self.segment_name(seq);
+        self.open_active(inner, sealed.seq + 1);
         let mut bytes = Vec::new();
         for rec in fold {
             encode_record_into(rec, &mut bytes);
         }
-        self.disk.append(&name, &bytes);
-        self.disk.sync(&name);
-        inner.active_seq = seq;
-        inner.active_len = HEADER_LEN + bytes.len();
+        self.disk.append(&inner.active_name, &bytes);
+        self.disk.sync(&inner.active_name);
+        inner.active_len += bytes.len();
         inner.active_records = fold.len() as u32;
-        inner.checkpoint = seq;
-        self.disk
-            .write_sync(&self.manifest_name(), &encode_manifest(&inner.sealed, seq));
+        inner.checkpoint = inner.active_seq;
+        self.compact_manifest(inner);
     }
 
     /// Drops every file of this store and reopens it empty — the
@@ -342,14 +361,7 @@ impl SegmentStore {
         for name in self.disk.list(&format!("{}/", self.prefix)) {
             self.disk.remove(&name);
         }
-        inner.active_seq = 0;
-        inner.active_len = HEADER_LEN;
-        inner.active_records = 0;
-        inner.sealed.clear();
-        inner.checkpoint = 0;
-        self.create_segment(0);
-        self.disk
-            .write_sync(&self.manifest_name(), &encode_manifest(&[], 0));
+        self.reset(&mut inner);
     }
 
     /// Sealed-segment manifest as currently tracked (for tests).
@@ -518,6 +530,110 @@ mod tests {
             "full history rescanned ({} records)",
             r.records.len()
         );
+    }
+
+    fn manifest_bytes(s: &SegmentStore) -> Vec<u8> {
+        s.disk().read("s0/manifest").unwrap()
+    }
+
+    #[test]
+    fn checkpoint_skip_over_thousands_of_sealed_segments() {
+        // A 64-byte limit rolls on every append, so the history is one
+        // sealed segment per record.
+        let s = SegmentStore::with_limit(Arc::new(SimDisk::new()), "s0", 64);
+        for i in 0..2_000 {
+            s.append(&rec(i % 16, i as u8));
+        }
+        s.barrier();
+        assert_eq!(s.sealed().len(), 2_000);
+        let mut latest: std::collections::BTreeMap<u64, Record> = Default::default();
+        for r in s.replay().records {
+            latest.insert(r.key, r);
+        }
+        let fold: Vec<Record> = latest.into_values().collect();
+        s.checkpoint(&fold);
+        // The checkpoint sealed the (empty) active segment too: every
+        // segment before the fold's is covered.
+        let covered = s.sealed().len() as u64;
+        assert_eq!(covered, 2_001);
+        let r = s.replay();
+        assert!(r.manifest_ok);
+        assert_eq!(r.segments_skipped, covered);
+        assert_eq!(r.records, fold, "replay decodes exactly the fold");
+    }
+
+    #[test]
+    fn rotted_edit_frame_replays_by_full_scan_without_loss() {
+        let s = store();
+        let mut latest: std::collections::BTreeMap<u64, Record> = Default::default();
+        for i in 0..40 {
+            let r = rec(i % 8, i as u8);
+            s.append(&r);
+            latest.insert(r.key, r);
+        }
+        s.barrier();
+        let fold: Vec<Record> = latest.values().cloned().collect();
+        s.checkpoint(&fold);
+        for i in 40..80 {
+            let r = rec(i % 8, i as u8);
+            s.append(&r);
+            latest.insert(r.key, r);
+        }
+        s.barrier();
+        // Rot one byte inside the last edit frame of the manifest.
+        let mut bytes = manifest_bytes(&s);
+        assert!(
+            bytes.len() > encode_manifest(&s.sealed(), 0).len(),
+            "rolls after the checkpoint must have appended edits"
+        );
+        let at = bytes.len() - crate::segment::EDIT_LEN / 2;
+        bytes[at] ^= 0x10;
+        s.disk().write_sync("s0/manifest", &bytes);
+        let r = s.replay();
+        assert!(!r.manifest_ok, "a rotted edit must fail the manifest");
+        assert_eq!(r.segments_skipped, 0, "no manifest, no skipping");
+        assert_eq!(r.segments_truncated, 0);
+        let mut folded: std::collections::BTreeMap<u64, Record> = Default::default();
+        for rec in r.records {
+            folded.insert(rec.key, rec);
+        }
+        assert_eq!(folded, latest, "the full scan loses no record");
+        assert!(s.replay().manifest_ok, "replay rewrote a clean manifest");
+    }
+
+    #[test]
+    fn replay_and_checkpoint_compact_the_manifest() {
+        let s = store();
+        let base_len = |s: &SegmentStore| encode_manifest(&s.sealed(), 0).len();
+        for i in 0..40 {
+            s.append(&rec(i, 1));
+        }
+        let rolls = s.sealed().len();
+        assert!(rolls > 1);
+        assert_eq!(
+            manifest_bytes(&s).len(),
+            encode_manifest(&[], 0).len() + rolls * crate::segment::EDIT_LEN,
+            "each roll appends one edit frame to the empty base"
+        );
+        s.replay();
+        assert_eq!(
+            manifest_bytes(&s).len(),
+            base_len(&s),
+            "compact after replay"
+        );
+        for i in 40..80 {
+            s.append(&rec(i, 2));
+        }
+        assert!(manifest_bytes(&s).len() > base_len(&s));
+        s.checkpoint(&[rec(0, 3)]);
+        assert_eq!(
+            manifest_bytes(&s).len(),
+            base_len(&s),
+            "compact after checkpoint"
+        );
+        let m = decode_manifest(&manifest_bytes(&s)).unwrap();
+        assert_eq!(m.sealed, s.sealed());
+        assert_eq!(manifest_bytes(&s), encode_manifest(&m.sealed, m.checkpoint));
     }
 
     #[test]

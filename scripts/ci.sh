@@ -28,9 +28,16 @@
 #                           delta resync strictly below wiped-disk full
 #                           resync, torn tails truncated and healed,
 #                           rotted frames never served, KV write-ahead
-#                           tears provably empty; plus the segment
-#                           format fuzz (mutated/truncated frames decode
-#                           to typed errors, never panic or pass)
+#                           tears provably empty, and the preload-
+#                           linearity gate (a KV preload writes the same
+#                           disk bytes in each key quarter, within 5%);
+#                           plus the segment format fuzz (mutated/
+#                           truncated frames and manifest edit frames
+#                           decode to typed errors, never panic or pass;
+#                           legacy manifests still decode) and the
+#                           manifest-edit checks (one edit frame per
+#                           roll, bytes written per append bounded
+#                           independent of history length)
 #   7. open-loop smoke    — coordinated-omission regression (stalled
 #                           server: open-loop p99 >> closed-loop p99),
 #                           bit-exact open-loop sweep replay, and a
@@ -45,10 +52,11 @@
 #                           the pre-gray golden schedule
 #   8. second-seed pass   — fault matrix + chaos gate (incl. migration
 #                           gate) + corruption matrix + durability gate
-#                           + store properties + open-loop smoke + gray
-#                           gate again under a different
-#                           PRISM_TEST_SEED, so the gates don't ossify
-#                           around one lucky schedule
+#                           (incl. the preload-linearity gate) + store
+#                           properties (incl. the manifest-edit checks)
+#                           + open-loop smoke + gray gate again under a
+#                           different PRISM_TEST_SEED, so the gates
+#                           don't ossify around one lucky schedule
 #   9. bench smoke        — substrate benches at 50 ms/bench, so a perf
 #                           regression that breaks the bench harness (or
 #                           an arena change that deadlocks it) fails CI
@@ -84,7 +92,7 @@ cargo test -q --offline -p prism-harness --test chaos_gate \
 echo "== corruption matrix (bit flips / torn writes / rot) =="
 cargo test -q --offline -p prism-harness --test corruption_matrix
 
-echo "== durability gate (segment replay vs delta resync) =="
+echo "== durability gate (segment replay vs delta resync, preload linearity, manifest edits) =="
 cargo test -q --offline -p prism-harness --test durability_gate \
     --test store_properties
 
